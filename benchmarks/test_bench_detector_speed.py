@@ -6,9 +6,10 @@ on one fixed point workload (fit + score, 630 items) so the cost of each
 technique is visible next to its quality in the ``tab1`` bench.
 pytest-benchmark prints the comparative table.
 
-A second table (``detector_batch``) times every ``supports_batch``
-registry detector on the same stack of series through both the scalar
-per-series loop and the vectorized ``fit_score_series_batch`` kernel,
+A second table (``detector_batch``) times every registry detector with
+a batch kernel (``has_batch_kernel``) on the same stack of series
+through both the scalar per-series loop and the vectorized
+``fit_score_series_batch`` kernel,
 so the batch win per family is a tracked perf artifact (parsed into the
 ``repro.bench/2`` JSON by ``to_json.py``).
 """
@@ -20,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.detectors import TABLE1_ROWS
+from repro.detectors import TABLE1_ROWS, has_batch_kernel
 from repro.detectors.registry import BASELINE_ROWS
 from repro.synthetic import make_point_dataset
 from repro.timeseries import TimeSeries
@@ -29,7 +30,7 @@ _PTS_ROWS = [e for e in TABLE1_ROWS if e.capabilities()[0]]
 _DATA = make_point_dataset(np.random.default_rng(99), n_inliers=600, n_outliers=30)
 
 _BATCHED_ROWS = [
-    e for e in TABLE1_ROWS + BASELINE_ROWS if e.cls.supports_batch
+    e for e in TABLE1_ROWS + BASELINE_ROWS if has_batch_kernel(e.cls)
 ]
 
 

@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--max-workers", type=int, default=None, metavar="N",
                      help="worker-pool cap for --executor thread/process "
                           "(default: available cpu cores)")
-    det.add_argument("--batch-scoring", action="store_true",
-                     help="stack same-length sensor traces and score them "
-                          "with one batched detector call per group")
     det.add_argument("--ingest-tail", type=int, default=0, metavar="N",
                      help="hold out each machine's last N jobs, score the "
                           "base plant cold, then ingest the held-out jobs "
@@ -303,7 +300,6 @@ def _cmd_detect(args) -> int:
     config = PipelineConfig(
         executor=args.executor,
         max_workers=args.max_workers,
-        batch_scoring=args.batch_scoring,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_retain=args.checkpoint_retain,

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, cast
 
 import numpy as np
 
-from ..detectors import make_detector
+from ..detectors import BaseDetector, make_detector
 from ..obs import Telemetry
 from ..obs.metrics import BYTE_BUCKETS, UNIT_BUCKETS
 from ..obs.trace import Tracer
@@ -98,7 +98,6 @@ class PipelineConfig:
     sandbox: SandboxPolicy = SandboxPolicy()  # detector budget/retry policy
     executor: str = "serial"  # scoring DAG executor: serial | thread | process
     max_workers: Optional[int] = None  # pool size; None = auto from CPU affinity
-    batch_scoring: bool = False  # batch same-length traces through one detector fit
     shm_transport: bool = True  # process executor: trace arrays via shared memory
     checkpoint_dir: Optional[str] = None  # snapshot store directory; None = off
     checkpoint_every: int = 1  # snapshot after every Nth refresh()
@@ -372,26 +371,30 @@ def _observe_outcome(
         )
 
 
-def _score_series_resilient(
-    state: _WorkerState, unit: str, series: TimeSeries
-) -> Tuple[np.ndarray, str]:
-    """Score one series through the level's fallback chain.
+def _walk_chain(
+    state: _WorkerState,
+    unit: str,
+    score: Callable[[BaseDetector], object],
+    **span_attrs: object,
+) -> Tuple[Optional[object], str, List[FallbackEvent]]:
+    """Walk the level's fallback chain once: ``(value, detector, failures)``.
 
-    Each ``ChooseAlgorithm`` candidate runs inside the sandbox (budget +
-    bounded retry); on failure the next chain entry takes over and a
-    :class:`FallbackEvent` is queued for the merge step.  If the whole
-    chain fails, the robust z/MAD baseline scores the trace — a level is
-    degraded, never silent.
+    Each ``ChooseAlgorithm`` candidate runs ``score`` inside the sandbox
+    (budget + bounded retry); on failure the next chain entry takes over
+    and the attempt is returned as a :class:`FallbackEvent` for the caller
+    to record against the units it scored.  If the whole chain fails the
+    value is None and the caller scores with the robust z/MAD baseline —
+    a level is degraded, never silent.
     """
     level_name = state.level.name
     chain = state.chain
+    failures: List[FallbackEvent] = []
     for pos, name in enumerate(chain):
         with state.tracer.span(
-            "detector", level=level_name, detector=name, unit=unit
+            "detector", level=level_name, detector=name, unit=unit, **span_attrs
         ) as sp:
             outcome = state.sandbox.call(
-                lambda name=name: make_detector(name).fit_score_series(series),
-                label=name,
+                lambda name=name: score(make_detector(name)), label=name
             )
             sp.set(
                 ok=outcome.ok,
@@ -400,138 +403,67 @@ def _score_series_resilient(
             )
         _observe_outcome(state, name, outcome)
         if outcome.ok:
-            return np.asarray(outcome.value, dtype=float), name
-        fallback = chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline"
-        state.events.append(
-            (
-                "fallback",
-                FallbackEvent(
-                    level=level_name,
-                    unit=unit,
-                    failed_detector=name,
-                    error=outcome.error_text,
-                    fallback=fallback,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                ),
+            return outcome.value, name, failures
+        failures.append(
+            FallbackEvent(
+                level=level_name,
+                unit=unit,
+                failed_detector=name,
+                error=outcome.error_text,
+                fallback=chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline",
+                attempts=outcome.attempts,
+                timed_out=outcome.timed_out,
             )
         )
     state.events.append(("terminal", level_name))
-    return robust_fallback_scores(np.asarray(series.values, dtype=float)), "robust-baseline"
+    return None, "robust-baseline", failures
 
 
-def _score_vectors_resilient(
+def _score_matrix_w(
     state: _WorkerState, unit: str, X: np.ndarray
 ) -> Tuple[np.ndarray, str]:
-    """Vector-level twin of :func:`_score_series_resilient`."""
-    level_name = state.level.name
-    chain = state.chain
-    for pos, name in enumerate(chain):
-        with state.tracer.span(
-            "detector", level=level_name, detector=name, unit=unit
-        ) as sp:
-            outcome = state.sandbox.call(
-                lambda name=name: make_detector(name).fit_score(X), label=name
-            )
-            sp.set(
-                ok=outcome.ok,
-                attempts=outcome.attempts,
-                timed_out=outcome.timed_out,
-            )
-        _observe_outcome(state, name, outcome)
-        if outcome.ok:
-            return np.asarray(outcome.value, dtype=float), name
-        fallback = chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline"
-        state.events.append(
-            (
-                "fallback",
-                FallbackEvent(
-                    level=level_name,
-                    unit=unit,
-                    failed_detector=name,
-                    error=outcome.error_text,
-                    fallback=fallback,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                ),
-            )
-        )
-    state.events.append(("terminal", level_name))
-    return robust_matrix_scores(X), "robust-baseline"
+    """Score one vector-level matrix through the fallback chain."""
+    value, name, failures = _walk_chain(state, unit, lambda det: det.fit_score(X))
+    state.events.extend(("fallback", event) for event in failures)
+    if value is None:
+        return robust_matrix_scores(X), name
+    return np.asarray(value, dtype=float), name
 
 
-def _score_series_group(
-    state: _WorkerState, unit: str, series_list: List[TimeSeries]
-) -> Tuple[List[np.ndarray], str]:
-    """One fallback-chain walk scoring a whole same-length group at once."""
-    level_name = state.level.name
-    chain = state.chain
-    for pos, name in enumerate(chain):
-        with state.tracer.span(
-            "detector", level=level_name, detector=name, unit=unit,
-            batch=len(series_list),
-        ) as sp:
-            outcome = state.sandbox.call(
-                lambda name=name: make_detector(name).fit_score_series_batch(
-                    series_list
-                ),
-                label=name,
-            )
-            sp.set(
-                ok=outcome.ok,
-                attempts=outcome.attempts,
-                timed_out=outcome.timed_out,
-            )
-        _observe_outcome(state, name, outcome)
-        if outcome.ok:
-            return [np.asarray(v, dtype=float) for v in outcome.value], name
-        fallback = chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline"
-        state.events.append(
-            (
-                "fallback",
-                FallbackEvent(
-                    level=level_name,
-                    unit=unit,
-                    failed_detector=name,
-                    error=outcome.error_text,
-                    fallback=fallback,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                ),
-            )
-        )
-    state.events.append(("terminal", level_name))
-    return [
-        robust_fallback_scores(np.asarray(s.values, dtype=float))
-        for s in series_list
-    ], "robust-baseline"
-
-
-def _score_series_batch(
-    state: _WorkerState,
-    scope: str,
-    gated: List[Tuple[str, TimeSeries]],
+def _score_traces_w(
+    state: _WorkerState, scope: str, traces: List[Tuple[str, TimeSeries]]
 ) -> List[Tuple[np.ndarray, str]]:
-    """Batched scoring: stack same-length channels through one detector fit.
+    """Score gated ``(unit, series)`` traces, one chain walk per sample count.
 
-    Channels are grouped by sample count in first-occurrence order and
-    each group walks the fallback chain once via ``fit_score_series_batch``
-    — amortizing detector construction, sandbox overhead, and (for
-    vectorizing detectors such as ``ar``) the model fit itself.  Results
-    come back in the original channel order.
+    Traces are grouped by length in first-occurrence order and each group
+    is scored by one ``fit_score_series_batch`` call per chain attempt —
+    amortizing detector construction, sandbox overhead and (for ``ar``)
+    the model fit.  Results and fallback events come back in trace order,
+    one event per trace and failed attempt, so the health record reads as
+    if every trace had walked the chain on its own.
     """
     groups: Dict[int, List[int]] = {}
-    for i, (__, series) in enumerate(gated):
+    for i, (__, series) in enumerate(traces):
         groups.setdefault(len(series.values), []).append(i)
-    results: List[Optional[Tuple[np.ndarray, str]]] = [None] * len(gated)
+    scored: List[Optional[Tuple[np.ndarray, str]]] = [None] * len(traces)
+    failed: List[List[FallbackEvent]] = [[] for __ in traces]
     for length, idxs in groups.items():
-        series_list = [gated[i][1] for i in idxs]
-        unit = f"{scope}/batch[len={length},n={len(idxs)}]"
-        scores_list, name = _score_series_group(state, unit, series_list)
-        for i, scores in zip(idxs, scores_list):
-            results[i] = (scores, name)
+        batch = [traces[i][1] for i in idxs]
+        value, name, failures = _walk_chain(
+            state,
+            f"{scope}/batch[len={length},n={len(idxs)}]",
+            lambda det, batch=batch: det.fit_score_series_batch(batch),
+            batch=len(idxs),
+        )
+        if value is None:
+            value = [robust_fallback_scores(np.asarray(s.values, dtype=float)) for s in batch]
+        for i, scores in zip(idxs, cast(List[np.ndarray], value)):
+            scored[i] = (np.asarray(scores, dtype=float), name)
+            failed[i] = failures
+    for (unit, __), failures in zip(traces, failed):
+        state.events.extend(("fallback", replace(event, unit=unit)) for event in failures)
     state.batch_groups += len(groups)
-    return cast(List[Tuple[np.ndarray, str]], results)
+    return cast(List[Tuple[np.ndarray, str]], scored)
 
 
 def _run_phase_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
@@ -540,82 +472,67 @@ def _run_phase_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
         data,
     )
     cfg = state.config
-    traces: List[Tuple[str, _Trace]] = []
-    candidates: List[OutlierCandidate] = []
+    # gate every trace of the machine first (expected length per phase),
+    # then score the whole task in one batch per sample count
+    kept: List[Tuple[int, str, str, TimeSeries]] = []
     for job_index, phases in jobs:
         for phase_name, items in phases:
             expected = _modal_expected_length(items)
             scope = f"{machine_id}/job{job_index}/{phase_name}"
-            gated: List[Tuple[str, TimeSeries]] = []
-            scored: List[Tuple[np.ndarray, str]] = []
-            if cfg.batch_scoring:
-                for sensor_id, series in items:
-                    kept = _gate_series_w(
-                        state, sensor_id, scope, series, expected_length=expected
-                    )
-                    if kept is not None:
-                        gated.append((sensor_id, kept))
-                scored = _score_series_batch(state, scope, gated)
-            else:
-                for sensor_id, series in items:
-                    kept = _gate_series_w(
-                        state, sensor_id, scope, series, expected_length=expected
-                    )
-                    if kept is None:
-                        continue
-                    gated.append((sensor_id, kept))
-                    scored.append(
-                        _score_series_resilient(state, f"{scope}/{sensor_id}", kept)
-                    )
-            for (sensor_id, series), (scores, detector_name) in zip(gated, scored):
-                trace = _Trace(
-                    channel_id=sensor_id,
-                    start=series.start,
-                    step=series.step,
-                    scores=scores,
-                    threshold=_robust_threshold(scores, cfg.phase_sigma),
+            for sensor_id, series in items:
+                gated = _gate_series_w(
+                    state, sensor_id, scope, series, expected_length=expected
                 )
-                traces.append((sensor_id, trace))
-                for idx in _peak_indices(
-                    scores, trace.threshold, cfg.candidate_gap,
-                    cfg.max_candidates_per_trace,
-                ):
-                    candidates.append(
-                        OutlierCandidate(
-                            level=ProductionLevel.PHASE,
-                            outlierness=float(scores[idx]),
-                            machine_id=machine_id,
-                            job_index=job_index,
-                            phase_name=phase_name,
-                            sensor_id=sensor_id,
-                            index=idx,
-                            detector=detector_name,
-                        )
-                    )
+                if gated is not None:
+                    kept.append((job_index, phase_name, sensor_id, gated))
+    scored = _score_traces_w(
+        state,
+        machine_id,
+        [(f"{machine_id}/job{j}/{ph}/{sensor_id}", s) for j, ph, sensor_id, s in kept],
+    )
+    traces: List[Tuple[str, _Trace]] = []
+    candidates: List[OutlierCandidate] = []
+    for (job_index, phase_name, sensor_id, series), (scores, detector_name) in zip(
+        kept, scored
+    ):
+        trace = _Trace(
+            channel_id=sensor_id,
+            start=series.start,
+            step=series.step,
+            scores=scores,
+            threshold=_robust_threshold(scores, cfg.phase_sigma),
+        )
+        traces.append((sensor_id, trace))
+        for idx in _peak_indices(
+            scores, trace.threshold, cfg.candidate_gap,
+            cfg.max_candidates_per_trace,
+        ):
+            candidates.append(
+                OutlierCandidate(
+                    level=ProductionLevel.PHASE,
+                    outlierness=float(scores[idx]),
+                    machine_id=machine_id,
+                    job_index=job_index,
+                    phase_name=phase_name,
+                    sensor_id=sensor_id,
+                    index=idx,
+                    detector=detector_name,
+                )
+            )
     return traces, candidates
 
 
 def _run_env_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     line_id, items = cast(Tuple[str, Tuple[Tuple[str, TimeSeries], ...]], data)
     cfg = state.config
-    gated: List[Tuple[str, TimeSeries]] = []
-    scored: List[Tuple[np.ndarray, str]] = []
-    if cfg.batch_scoring:
-        for channel_id, series in items:
-            kept = _gate_series_w(state, channel_id, line_id, series)
-            if kept is not None:
-                gated.append((channel_id, kept))
-        scored = _score_series_batch(state, f"{line_id}/env", gated)
-    else:
-        for channel_id, series in items:
-            kept = _gate_series_w(state, channel_id, line_id, series)
-            if kept is None:
-                continue
-            gated.append((channel_id, kept))
-            scored.append(_score_series_resilient(state, channel_id, kept))
+    kept: List[Tuple[str, TimeSeries]] = []
+    for channel_id, series in items:
+        gated = _gate_series_w(state, channel_id, line_id, series)
+        if gated is not None:
+            kept.append((channel_id, gated))
+    scored = _score_traces_w(state, f"{line_id}/env", kept)
     traces: List[Tuple[str, _Trace]] = []
-    ids: List[str] = []
-    for (channel_id, series), (scores, __) in zip(gated, scored):
+    for (channel_id, series), (scores, __) in zip(kept, scored):
         trace = _Trace(
             channel_id=channel_id,
             start=series.start,
@@ -624,14 +541,13 @@ def _run_env_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
             threshold=_robust_threshold(scores, cfg.env_sigma),
         )
         traces.append((channel_id, trace))
-        ids.append(channel_id)
-    return traces, ids
+    return traces, [channel_id for channel_id, __ in kept]
 
 
 def _run_job_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     keys, raw = cast(Tuple[Tuple[Tuple[str, int], ...], np.ndarray], data)
     X = _robust_standardize(_gate_matrix_w(state, raw, "job"))
-    scores, detector_name = _score_vectors_resilient(state, "job-table", X)
+    scores, detector_name = _score_matrix_w(state, "job-table", X)
     return keys, scores, detector_name
 
 
@@ -655,16 +571,14 @@ def _run_line_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
             mad[mad <= 1e-12] = 1.0
             deltas[i] = (mat[i] - med) / mad
     augmented = np.hstack([_robust_standardize(mat), deltas])
-    scores, __ = _score_vectors_resilient(
-        state, f"{line_id}/jobs-over-time", augmented
-    )
+    scores, __ = _score_matrix_w(state, f"{line_id}/jobs-over-time", augmented)
     return identity, scores
 
 
 def _run_production_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     panel, machine_ids = cast(Tuple[np.ndarray, Tuple[str, ...]], data)
     panel = _robust_standardize(_gate_matrix_w(state, panel, "production"))
-    scores, __ = _score_vectors_resilient(state, "production-panel", panel)
+    scores, __ = _score_matrix_w(state, "production-panel", panel)
     return machine_ids, scores
 
 

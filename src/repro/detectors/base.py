@@ -154,15 +154,6 @@ class BaseDetector(abc.ABC):
     #: Subclasses that cannot honor the contract must set this to False
     #: (no in-tree detector does).
     deterministic_refit: bool = True
-    #: Batch-kernel capability flag: True iff this detector ships a
-    #: vectorized ``fit_score_series_batch`` kernel (either a direct
-    #: override or a :class:`VectorDetector` ``_batch_score_windows``
-    #: hook).  The flag and the kernel must move together —
-    #: :func:`has_batch_kernel` checks the override structurally and the
-    #: test suite asserts the two agree, so coverage cannot silently
-    #: drift.  Kernels must be numerically equal to the scalar
-    #: ``fit_score_series`` path (the pipeline's 1e-9 batch contract).
-    supports_batch: bool = False
 
     def __init__(self) -> None:
         self._fitted = False
@@ -235,8 +226,8 @@ class BaseDetector(abc.ABC):
                                width: int = 16, stride: int = 1) -> List[np.ndarray]:
         """Score several series with one detector instance, one result each.
 
-        The pipeline's batched scoring path calls this once per group of
-        same-length channels.  The default refits this instance per
+        The pipeline's phase and environment scoring calls this once per
+        group of same-length traces.  The default refits this instance per
         series — semantically identical to a ``fit_score_series`` loop —
         and detectors whose model vectorizes across series override it
         to amortize the fit (see :class:`~repro.detectors.predictive.ar.ARDetector`).
@@ -446,8 +437,7 @@ class VectorDetector(BaseDetector):
 
         Slice ``[i]`` must reproduce ``_fit_matrix(windows[i])`` followed
         by ``_score_matrix(windows[i])`` — the fit-score-own-windows path —
-        to within the pipeline's 1e-9 batch tolerance.  Detectors
-        implementing this set ``supports_batch = True``.
+        to within the 1e-9 batch-kernel tolerance.
         """
         return None
 
@@ -460,7 +450,7 @@ class VectorDetector(BaseDetector):
         calls, and detectors without a kernel fall back to the scalar loop.
         """
         series_list = list(series_list)
-        if type(self).supports_batch and len(series_list) > 1:
+        if has_batch_kernel(type(self)) and len(series_list) > 1:
             lengths = {len(s.values) for s in series_list}
             if len(lengths) == 1:
                 n_points = lengths.pop()
@@ -569,12 +559,10 @@ class SymbolDetector(BaseDetector):
 def has_batch_kernel(detector_cls: type) -> bool:
     """True iff ``detector_cls`` ships a vectorized batch kernel.
 
-    Structural twin of the ``supports_batch`` flag: a detector has a
-    kernel when it overrides ``fit_score_series_batch`` beyond the generic
+    Read from the class structure: a detector has a kernel when it
+    overrides ``fit_score_series_batch`` beyond the generic
     loop/orchestrator implementations, or (for :class:`VectorDetector`
-    subclasses) overrides the ``_batch_score_windows`` hook.  The test
-    suite asserts ``has_batch_kernel(cls) == cls.supports_batch`` for
-    every registry detector, so the flag cannot drift from the code.
+    subclasses) overrides the ``_batch_score_windows`` hook.
     """
     generic = {BaseDetector.fit_score_series_batch, VectorDetector.fit_score_series_batch}
     if detector_cls.fit_score_series_batch not in generic:

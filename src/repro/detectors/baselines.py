@@ -43,7 +43,6 @@ class ZScoreDetector(VectorDetector):
     family = Family.BASELINE
     supports = _ALL_SHAPES
     citation = "classical"
-    supports_batch = True
 
     def _fit_matrix(self, X: np.ndarray) -> None:
         self._mean = X.mean(axis=0)
@@ -71,7 +70,6 @@ class MADDetector(VectorDetector):
     family = Family.BASELINE
     supports = _ALL_SHAPES
     citation = "classical"
-    supports_batch = True
 
     def _fit_matrix(self, X: np.ndarray) -> None:
         self._median = np.median(X, axis=0)
@@ -97,7 +95,6 @@ class KNNDetector(VectorDetector):
     family = Family.BASELINE
     supports = _ALL_SHAPES
     citation = "Angiulli & Pizzuti 2002 [1]"
-    supports_batch = True
 
     def __init__(self, k: int = 5) -> None:
         super().__init__()
@@ -127,7 +124,6 @@ class LOFDetector(VectorDetector):
     family = Family.BASELINE
     supports = frozenset({DataShape.POINTS, DataShape.SUBSEQUENCES})
     citation = "Breunig et al. 2000 (discussed in Section 5)"
-    supports_batch = True
 
     def __init__(self, k: int = 10) -> None:
         super().__init__()
@@ -184,7 +180,6 @@ class ReverseKNNDetector(VectorDetector):
     family = Family.BASELINE
     supports = frozenset({DataShape.POINTS})
     citation = "Radovanović et al. 2015 [34]"
-    supports_batch = True
 
     def __init__(self, k: int = 10) -> None:
         super().__init__()
@@ -238,7 +233,6 @@ class PCALeverageDetector(VectorDetector):
     family = Family.BASELINE
     supports = frozenset({DataShape.POINTS, DataShape.SERIES})
     citation = "Mejia et al. 2017 [26]"
-    supports_batch = True
 
     def __init__(self, variance_kept: float = 0.9) -> None:
         super().__init__()

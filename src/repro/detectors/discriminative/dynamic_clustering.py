@@ -38,7 +38,6 @@ class DynamicClusteringDetector(VectorDetector):
     family = Family.DISCRIMINATIVE
     supports = frozenset({DataShape.SUBSEQUENCES, DataShape.SERIES})
     citation = "Sequeira & Zaki 2002 [37]"
-    supports_batch = True
 
     def __init__(self, radius: float | None = None,
                  min_cluster_fraction: float = 0.1) -> None:

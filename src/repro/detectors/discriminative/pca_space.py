@@ -22,7 +22,6 @@ class PCASpaceDetector(VectorDetector):
     family = Family.DISCRIMINATIVE
     supports = frozenset({DataShape.POINTS})
     citation = "Gupta & Singh 2013 [13]"
-    supports_batch = True
 
     def __init__(self, variance_kept: float = 0.9) -> None:
         super().__init__()

@@ -29,7 +29,6 @@ class SingleLinkageDetector(VectorDetector):
         {DataShape.POINTS, DataShape.SUBSEQUENCES, DataShape.SERIES}
     )
     citation = "Portnoy et al. 2001 [32]"
-    supports_batch = True
 
     def __init__(self, width_quantile: float = 0.3,
                  big_cluster_fraction: float = 0.15) -> None:

@@ -277,7 +277,30 @@ def kill_after_snapshots(n: int) -> Callable[[pathlib.Path], None]:
 # ----------------------------------------------------------------------
 # detector-level chaos: raising / flaky / hanging wrappers
 # ----------------------------------------------------------------------
-class RaisingDetector(MADDetector):
+class _ChaosDetector(MADDetector):
+    """MAD with an injected fault that fires before every fit.
+
+    Subclasses implement :meth:`_fault`; it runs on both ways a fit
+    happens — the per-series ``_fit_matrix`` and the batched
+    ``_batch_score_windows`` kernel — so the fault hits every call the
+    pipeline makes, whichever path scores the traces.
+    """
+
+    citation = "chaos harness"
+
+    def _fault(self) -> None:
+        raise NotImplementedError
+
+    def _fit_matrix(self, X: np.ndarray) -> None:
+        self._fault()
+        super()._fit_matrix(X)
+
+    def _batch_score_windows(self, windows: np.ndarray) -> np.ndarray:
+        self._fault()
+        return super()._batch_score_windows(windows)
+
+
+class RaisingDetector(_ChaosDetector):
     """Always raises: the always-broken detector of the acceptance test.
 
     Put ``"chaos-raise"`` first in a level's preference list and the
@@ -286,36 +309,34 @@ class RaisingDetector(MADDetector):
     """
 
     name = "chaos-raise"
-    citation = "chaos harness"
 
-    def _fit_matrix(self, X: np.ndarray) -> None:
+    def _fault(self) -> None:
         raise DetectorError("chaos: injected detector failure")
 
 
-class FlakyDetector(MADDetector):
+class FlakyDetector(_ChaosDetector):
     """Fails the first ``failures_remaining`` fits, then behaves like MAD.
 
     The counter is *class-level* because the pipeline instantiates a fresh
-    detector per trace; tests reset it via :meth:`reset`.  Failures raise
-    plain :class:`DetectorError` — the transient class the sandbox retries.
+    detector per fallback-chain attempt; tests reset it via :meth:`reset`.
+    Failures raise plain :class:`DetectorError` — the transient class the
+    sandbox retries.
     """
 
     name = "chaos-flaky"
-    citation = "chaos harness"
     failures_remaining: int = 0
 
     @classmethod
     def reset(cls, failures: int) -> None:
         cls.failures_remaining = failures
 
-    def _fit_matrix(self, X: np.ndarray) -> None:
+    def _fault(self) -> None:
         if type(self).failures_remaining > 0:
             type(self).failures_remaining -= 1
             raise DetectorError("chaos: transient detector failure")
-        super()._fit_matrix(X)
 
 
-class HangingDetector(MADDetector):
+class HangingDetector(_ChaosDetector):
     """Sleeps ``delay`` seconds before fitting: exercises the time budget.
 
     With a hard-timeout sandbox the call is abandoned mid-sleep; with a
@@ -324,12 +345,10 @@ class HangingDetector(MADDetector):
     """
 
     name = "chaos-hang"
-    citation = "chaos harness"
     delay: float = 3600.0
 
-    def _fit_matrix(self, X: np.ndarray) -> None:
+    def _fault(self) -> None:
         time.sleep(type(self).delay)
-        super()._fit_matrix(X)
 
 
 for _cls in (RaisingDetector, FlakyDetector, HangingDetector):

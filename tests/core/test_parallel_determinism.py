@@ -4,8 +4,9 @@ The engine's headline guarantee is that the executor is a pure
 performance knob: the serialized reports — including the embedded
 health record and stats tree — are *byte-identical* across all three
 executors, for every seed, and even when chaos fault injection degrades
-the run.  Batched scoring is the one documented exception (different
-detector-call grouping): it must agree numerically, not byte-wise.
+the run.  Phase and environment traces are scored in same-length batches;
+the batched AR kernel must leave the output byte-identical to scoring
+every trace on its own.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class TestExecutorInvariance:
         )
         parallel = docs["serial"]["telemetry"]["stats"]["parallel"]
         assert parallel["tasks"] > 0
-        assert parallel["batch_groups"] == 0  # batching off by default
+        assert parallel["batch_groups"] > 0
 
 
 class TestHashSeedInvariance:
@@ -135,27 +136,64 @@ class TestChaosInvariance:
         assert health["quarantines"] or health["warnings"]
 
 
-class TestBatchScoring:
-    def test_batch_mode_agrees_numerically(self):
-        plain = json.loads(_run_json(_plant(7)))
-        batched_pipeline = HierarchicalDetectionPipeline(
-            _plant(7), config=PipelineConfig(batch_scoring=True)
+def _identity_case(case: str):
+    """(dataset, selector, config) of one batch-vs-scalar identity run."""
+    from repro.core import AlgorithmSelector, ProductionLevel
+    from repro.core.resilience import SandboxPolicy
+
+    if case == "clean":
+        return _plant(3), None, PipelineConfig()
+    if case == "chaos":
+        dataset, __ = inject_chaos(
+            _plant(11),
+            ChaosConfig(seed=0, sensor_dropout_rate=0.15, truncate_rate=0.3),
         )
-        batched_reports = batched_pipeline.run()
-        batched = json.loads(reports_to_json(batched_reports))
-        assert len(batched["reports"]) == len(plain["reports"])
-        for a, b in zip(plain["reports"], batched["reports"]):
-            assert a["global_score"] == pytest.approx(b["global_score"], abs=1e-9)
-            assert a["outlierness"] == pytest.approx(b["outlierness"], abs=1e-9)
-            assert a["support"] == pytest.approx(b["support"], abs=1e-9)
-        assert batched_pipeline.stats()["parallel"]["batch_groups"] > 0
+        return dataset, None, PipelineConfig()
+    dataset, __ = inject_chaos(_plant(29), ChaosConfig(seed=0, sensor_dropout_rate=0.15))
+    selector = AlgorithmSelector()
+    selector.override(ProductionLevel.PHASE, ["chaos-raise", "ar", "deviants", "zscore"])
+    return dataset, selector, PipelineConfig(sandbox=SandboxPolicy(max_attempts=1))
+
+
+class TestBatchScoring:
+    @pytest.mark.parametrize("case", ("clean", "chaos", "chaos-raise"))
+    def test_batched_ar_kernel_matches_per_series_reference(self, case, monkeypatch):
+        """The pipeline's batched AR kernel against the per-series loop.
+
+        The reference run swaps ``ARDetector.fit_score_series_batch`` for
+        the generic loop over the scalar ``fit_score_series``; reports,
+        health and stats must come out byte-identical.
+        """
+        from repro.detectors.base import BaseDetector
+        from repro.detectors.predictive.ar import ARDetector
+
+        def doc() -> str:
+            dataset, selector, config = _identity_case(case)
+            pipeline = HierarchicalDetectionPipeline(
+                dataset, selector=selector, config=config
+            )
+            return reports_to_json(
+                pipeline.run(), health=pipeline.health, stats=pipeline.stats()
+            )
+
+        batched = doc()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ARDetector, "fit_score_series_batch", BaseDetector.fit_score_series_batch
+            )
+            reference = doc()
+        assert batched == reference
+        health = json.loads(batched)["telemetry"]["run_health"]
+        if case == "chaos":
+            assert health["quarantines"] or health["warnings"]
+        if case == "chaos-raise":
+            assert health["fallbacks"]
 
     def test_batch_mode_is_itself_executor_invariant(self):
-        serial = _run_json(_plant(7), batch_scoring=True)
-        threaded = _run_json(
-            _plant(7), batch_scoring=True, executor="thread", max_workers=4
-        )
+        serial = _run_json(_plant(7))
+        threaded = _run_json(_plant(7), executor="thread", max_workers=4)
         assert threaded == serial
+        assert json.loads(serial)["telemetry"]["stats"]["parallel"]["batch_groups"] > 0
 
 
 class TestBatchedARKernel:
@@ -171,7 +209,7 @@ class TestBatchedARKernel:
         batched = ARDetector(order=3).fit_score_series_batch(series)
         looped = [ARDetector(order=3).fit_score_series(s) for s in series]
         for got, want in zip(batched, looped):
-            np.testing.assert_allclose(got, want, atol=1e-9)
+            np.testing.assert_array_equal(got, want)
 
     def test_ragged_lengths_fall_back_to_loop(self):
         from repro.detectors.predictive.ar import ARDetector
@@ -185,4 +223,4 @@ class TestBatchedARKernel:
         batched = ARDetector(order=3).fit_score_series_batch(series)
         looped = [ARDetector(order=3).fit_score_series(s) for s in series]
         for got, want in zip(batched, looped):
-            np.testing.assert_allclose(got, want)
+            np.testing.assert_array_equal(got, want)

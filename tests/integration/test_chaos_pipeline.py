@@ -142,6 +142,36 @@ class TestSurvival:
             assert event.fallback == "ar"
             assert not event.timed_out
 
+    def test_fallbacks_follow_trace_order(self, dataset):
+        """Traces are scored in same-length groups (truncation makes
+        several per machine), but the health record still lists one
+        fallback per trace, in dataset order."""
+        chaotic, __ = inject_chaos(
+            dataset, ChaosConfig(seed=CHAOS_SEED, truncate_rate=0.3)
+        )
+        selector = AlgorithmSelector()
+        selector.override(
+            ProductionLevel.PHASE, ["chaos-raise", "ar", "deviants", "zscore"]
+        )
+        pipeline = HierarchicalDetectionPipeline(
+            chaotic, selector=selector,
+            config=PipelineConfig(sandbox=SandboxPolicy(max_attempts=1)),
+        )
+        pipeline.run()
+        quarantined = {
+            (q.scope, q.channel_id) for q in pipeline.health.quarantines
+        }
+        expected = [
+            f"{scope}/{sensor_id}"
+            for machine in chaotic.iter_machines()
+            for job in machine.jobs
+            for phase in job.phases
+            for scope in [f"{machine.machine_id}/job{job.job_index}/{phase.name}"]
+            for sensor_id in phase.series
+            if (scope, sensor_id) not in quarantined
+        ]
+        assert [e.unit for e in pipeline.health.fallbacks] == expected
+
     def test_health_counters_surface_in_stats(self, chaos_run):
         __, __, pipeline, __r = chaos_run
         stats = pipeline.stats()

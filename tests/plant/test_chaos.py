@@ -19,6 +19,7 @@ from repro.plant import (
     inject_chaos,
     simulate_plant,
 )
+from repro.timeseries import TimeSeries
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,23 @@ class TestDetectorWrappers:
             assert not outcome.ok and outcome.timed_out
         finally:
             HangingDetector.delay = old_delay
+
+    @pytest.mark.parametrize(
+        "cls", (RaisingDetector, FlakyDetector, HangingDetector), ids=lambda c: c.name
+    )
+    def test_fault_fires_on_the_batch_path(self, cls, rng, monkeypatch):
+        """A same-length stack is scored by the batched kernel, never by
+        ``_fit_matrix``; the injected fault must fire there too."""
+        monkeypatch.setattr(FlakyDetector, "failures_remaining", 1)
+        monkeypatch.setattr(HangingDetector, "delay", 0.05)
+        series = [
+            TimeSeries(values=rng.normal(size=64), start=0.0, step=1.0)
+            for __ in range(3)
+        ]
+        sandbox = DetectorSandbox(SandboxPolicy(time_budget=0.01, max_attempts=1))
+        outcome = sandbox.call(lambda: cls().fit_score_series_batch(series))
+        assert not outcome.ok
+        assert outcome.timed_out == (cls is HangingDetector)
 
     def test_wrappers_resolvable_by_name(self):
         assert isinstance(make_detector("chaos-raise"), RaisingDetector)

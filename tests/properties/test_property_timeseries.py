@@ -112,6 +112,17 @@ class TestSAXProperties:
         breaks = gaussian_breakpoints(4)
         margin = np.abs(segments[:, None] - breaks[None, :]).min()
         assume(margin > 1e-7)
+        # sax_word flattens a series whose std is under 1e-9*max(1,|mu|);
+        # the threshold moves with the mean, so an affine map can carry a
+        # series across it (pinned in tests/timeseries/test_sax.py).  The
+        # property holds when both sides sit a factor 10 clear of it, on
+        # the same side
+        def degeneracy(x):
+            ratio = x.std() / (1e-9 * max(1.0, abs(x.mean())))
+            return 1 if ratio > 10 else -1 if ratio < 0.1 else 0
+
+        side = degeneracy(values)
+        assume(side != 0 and degeneracy(values * scale + shift) == side)
         a = sax_word(values, 4, 4)
         b = sax_word(values * scale + shift, 4, 4)
         assert a == b

@@ -82,6 +82,17 @@ class TestSaxWord:
         w2 = sax_word(5.0 * x + 100.0, 8, 4)
         assert w1 == w2
 
+    def test_degeneracy_threshold_is_relative_to_the_mean(self):
+        # std above 1e-9*max(1,|mu|) keeps its shape; an affine map that
+        # lifts |mu| can push the same shape under the threshold, where
+        # the word flattens to the constant letter
+        x = np.array([1.19e-07] + [0.0] * 79)
+        assert x.std() > 1e-9
+        assert sax_word(x, 4, 4) == "cbbb"
+        y = 0.125 * x + 2.0
+        assert y.std() < 1e-9 * abs(y.mean())
+        assert sax_word(y, 4, 4) == "bbbb"
+
     def test_rejects_all_nan(self):
         with pytest.raises(ValueError):
             sax_word(np.array([np.nan, np.nan]), 2, 4)

@@ -180,7 +180,7 @@ class ConcurrencyRule(ProjectRule):
                             "reference: every closure sees the last iteration",
                             hint="default-bind the loop variable "
                             "(lambda name=name: ...), the idiom "
-                            "pipeline._score_series_resilient uses",
+                            "pipeline._walk_chain uses",
                         )
 
     def _check_sync_primitive(
