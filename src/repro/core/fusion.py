@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Mapping
 
-from scipy.stats import chi2
-
 from .levels import ProductionLevel
 
 __all__ = [
@@ -104,7 +102,9 @@ def fuse_fisher(level_scores: Mapping[ProductionLevel, float]) -> float:
     for score in scores.values():
         p = min(max(1.0 - score, eps), 1.0)
         stat += -2.0 * math.log(p)
-    combined_p = float(chi2.sf(stat, df=2 * len(scores)))
+    from scipy.special import chdtrc
+
+    combined_p = float(chdtrc(2 * len(scores), stat))
     return 1.0 - combined_p
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 #: Anything a unifier accepts: a 1-D array or any sequence of floats.
 ScoreVector = Union[np.ndarray, Sequence[float]]
@@ -67,7 +66,9 @@ def unify_gaussian(scores: ScoreVector) -> np.ndarray:
         std = float(s.std())
         mad = std if std > 1e-12 else 1.0
     z = (s - center) / mad
-    return norm.cdf(z)
+    from scipy.special import ndtr
+
+    return ndtr(z)
 
 
 def unify_minmax(scores: ScoreVector) -> np.ndarray:

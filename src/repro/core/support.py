@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..plant import PlantDataset
@@ -57,14 +56,22 @@ class CorrespondenceGraph:
     """Undirected graph whose edges link corresponding sensors.
 
     Node ids are sensor ids (phase-level channels) or environment channel
-    ids of the form ``"<line_id>/env/<kind>"``.
+    ids of the form ``"<line_id>/env/<kind>"``.  Stored as an adjacency
+    dict of neighbour sets; a self-edge makes a node its own neighbour.
     """
 
     #: environment kinds considered to correspond to a sensor kind
     CROSS_LEVEL: Dict[str, Tuple[str, ...]] = {"chamber_temp": ("room_temp",)}
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adj: Dict[str, Set[str]] = {}
+
+    def _add_node(self, node: str) -> None:
+        self._adj.setdefault(node, set())
+
+    def _add_edge(self, a: str, b: str) -> None:
+        self._adj.setdefault(a, set()).add(b)
+        self._adj.setdefault(b, set()).add(a)
 
     @classmethod
     def from_plant(cls, dataset: PlantDataset) -> "CorrespondenceGraph":
@@ -75,40 +82,33 @@ class CorrespondenceGraph:
                 kind: f"{line.line_id}/env/{kind}" for kind in line.environment
             }
             for node in env_nodes.values():
-                graph._graph.add_node(node, kind="environment")
+                graph._add_node(node)
             for machine in line.machines:
                 for group, channels in machine.redundancy_groups().items():
                     ids = [ch.sensor_id for ch in channels]
                     for sid in ids:
-                        graph._graph.add_node(sid, kind="sensor")
+                        graph._add_node(sid)
                     for i, a in enumerate(ids):
                         for b in ids[i + 1 :]:
-                            graph._graph.add_edge(a, b, relation="redundant")
+                            graph._add_edge(a, b)
                     sensor_kind = channels[0].spec.kind
                     for env_kind in cls.CROSS_LEVEL.get(sensor_kind, ()):
                         env_node = env_nodes.get(env_kind)
                         if env_node is not None:
                             for sid in ids:
-                                graph._graph.add_edge(
-                                    sid, env_node, relation="cross-level"
-                                )
+                                graph._add_edge(sid, env_node)
         return graph
 
     def corresponding(self, sensor_id: str) -> List[str]:
         """All sensors/channels corresponding to the given one."""
-        if sensor_id not in self._graph:
-            return []
-        return sorted(self._graph.neighbors(sensor_id))
+        return sorted(self._adj.get(sensor_id, ()))
 
     def add_correspondence(self, a: str, b: str, relation: str = "manual") -> None:
-        self._graph.add_edge(a, b, relation=relation)
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+        """Link ``a`` and ``b``; ``relation`` names the kind of link but is not stored."""
+        self._add_edge(a, b)
 
     def __contains__(self, node: str) -> bool:
-        return node in self._graph
+        return node in self._adj
 
 
 @dataclass(frozen=True)

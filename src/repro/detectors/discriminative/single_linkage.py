@@ -11,8 +11,6 @@ representative, so the output is a graded outlierness rather than a flag.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import pdist
 
 from .._math import batch_pairwise_sq_dists, pairwise_sq_dists
 from ..base import DataShape, Family, VectorDetector
@@ -46,6 +44,9 @@ class SingleLinkageDetector(VectorDetector):
             self._big_points = X.copy()
             self._scale = 1.0
             return
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import pdist
+
         dists = pdist(X)
         tree = linkage(dists, method="single")
         width = float(np.quantile(dists, self.width_quantile))

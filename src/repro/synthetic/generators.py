@@ -75,19 +75,35 @@ def ar_process(n: int, rng: np.random.Generator,
     phi = np.asarray(coefficients, dtype=np.float64)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError("coefficients must be a non-empty 1-D sequence")
-    roots = np.roots(np.concatenate([[1.0], -phi]))
-    if np.any(np.abs(roots) >= 1.0 - 1e-9):
-        raise ValueError(f"AR coefficients {phi.tolist()} are not stationary")
-    p = phi.size
+    coef = phi.tolist()
+    p = len(coef)
+    if p == 1:
+        # the companion root of [1, -phi] is phi itself
+        stationary = abs(coef[0]) < 1.0 - 1e-9
+    else:
+        roots = np.roots(np.concatenate([[1.0], -phi]))
+        stationary = not np.any(np.abs(roots) >= 1.0 - 1e-9)
+    if not stationary:
+        raise ValueError(f"AR coefficients {coef} are not stationary")
     total = n + burn_in
-    e = rng.normal(0.0, sigma, size=total)
-    x = np.zeros(total)
-    for t in range(total):
-        acc = e[t]
-        for k in range(min(p, t)):
-            acc += phi[k] * x[t - 1 - k]
-        x[t] = acc
-    return _finish(x[burn_in:], start, step, name)
+    # The recursion runs on Python floats: the same IEEE operations in the
+    # same order as an indexed numpy loop, without a numpy scalar per step.
+    e = rng.normal(0.0, sigma, size=total).tolist()
+    if p == 1:
+        c0 = coef[0]
+        x = e[:1]  # x[0] = e[0] exactly
+        prev = x[0] if x else 0.0
+        for v in e[1:]:
+            prev = v + c0 * prev
+            x.append(prev)
+    else:
+        x = e  # x[t] overwrites e[t]; only x[<t] is read
+        for t in range(total):
+            acc = x[t]
+            for k in range(min(p, t)):
+                acc += coef[k] * x[t - 1 - k]
+            x[t] = acc
+    return _finish(np.array(x[burn_in:], dtype=np.float64), start, step, name)
 
 
 def random_walk(n: int, rng: np.random.Generator, sigma: float = 1.0, *,

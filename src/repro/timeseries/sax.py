@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .sequence import DiscreteSequence
 from .series import TimeSeries
@@ -75,7 +74,9 @@ def gaussian_breakpoints(alphabet_size: int) -> np.ndarray:
             f"alphabet_size must be in [2, {len(SAX_ALPHABET)}], got {alphabet_size}"
         )
     qs = np.arange(1, alphabet_size) / alphabet_size
-    return norm.ppf(qs)
+    from scipy.special import ndtri
+
+    return ndtri(qs)
 
 
 def sax_word(series, word_length: int, alphabet_size: int = 4) -> str:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -106,6 +109,37 @@ class TestFisher:
     def test_handles_extreme_scores(self):
         out = fuse_fisher({L.PHASE: 1.0, L.JOB: 0.0})
         assert 0.0 <= out <= 1.0
+
+
+class TestFisherMatchesScipyStats:
+    """``fuse_fisher`` calls ``scipy.special.chdtrc``; ``chi2.sf`` is the reference.
+
+    ``ProductionLevel`` has five members, so 1..5 levels cover chi^2 with
+    2..10 degrees of freedom.
+    """
+
+    GRID = [0.0, 1e-15, 1e-9, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0 - 1e-9, 1.0]
+
+    @staticmethod
+    def _reference(scores):
+        from scipy.stats import chi2
+
+        stat = 0.0
+        for score in scores:
+            p = min(max(1.0 - score, 1e-12), 1.0)
+            stat += -2.0 * math.log(p)
+        return 1.0 - float(chi2.sf(stat, df=2 * len(scores)))
+
+    @pytest.mark.parametrize("k", range(1, len(L) + 1))
+    def test_every_level_count(self, k):
+        rng = np.random.default_rng(k)
+        levels = list(L)[:k]
+        rows = [[s] * k for s in self.GRID]
+        rows += rng.choice(self.GRID, size=(200, k)).tolist()
+        rows += rng.uniform(0.0, 1.0, size=(200, k)).tolist()
+        got = [fuse_fisher(dict(zip(levels, row))) for row in rows]
+        expected = [self._reference(row) for row in rows]
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestMonotonicity:

@@ -59,6 +59,36 @@ class TestGaussian:
         assert np.allclose(out, 0.5)
 
 
+class TestGaussianMatchesScipyStats:
+    """``unify_gaussian`` calls ``scipy.special.ndtr``; ``norm.cdf`` is the reference."""
+
+    @staticmethod
+    def _reference(scores):
+        from scipy.stats import norm
+
+        s = np.asarray(scores, dtype=np.float64)
+        center = float(np.median(s))
+        mad = float(np.median(np.abs(s - center))) * 1.4826
+        if mad <= 1e-12:
+            std = float(s.std())
+            mad = std if std > 1e-12 else 1.0
+        return norm.cdf((s - center) / mad)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            # -0.0 against a +0.0 median gives z = -0.0; the infs give z = +-inf
+            [-np.inf, -40.0, -8.5, -1.0, -1e-300, -0.0, 0.0, 0.0, 1e-300, 1.0, 8.5, 40.0, np.inf],
+            [1.0, np.nan, 2.0],  # a NaN median: every z is NaN
+            [3.0] * 6,
+            np.linspace(-40.0, 40.0, 4001),
+        ],
+        ids=["inf-zero-grid", "nan", "constant", "dense"],
+    )
+    def test_matches_norm_cdf(self, scores):
+        np.testing.assert_array_equal(unify_gaussian(scores), self._reference(scores))
+
+
 class TestMinmax:
     def test_range(self):
         out = unify_minmax([2.0, 4.0, 6.0])

@@ -56,6 +56,20 @@ class TestGraphFromPlant:
         graph.add_correspondence("a", "b")
         assert graph.corresponding("a") == ["b"]
 
+    def test_self_edge_makes_own_neighbour(self):
+        graph = CorrespondenceGraph()
+        graph.add_correspondence("a", "a")
+        graph.add_correspondence("a", "b")
+        assert graph.corresponding("a") == ["a", "b"]
+        assert graph.corresponding("b") == ["a"]
+
+    def test_environment_nodes_without_edges_are_members(self, small_plant):
+        graph = CorrespondenceGraph.from_plant(small_plant)
+        for line in small_plant.lines:
+            for kind in line.environment:
+                node = f"{line.line_id}/env/{kind}"
+                assert node in graph
+
 
 def _make_calculator(traces, tolerance=5.0):
     graph = CorrespondenceGraph()

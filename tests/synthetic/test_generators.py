@@ -90,6 +90,65 @@ class TestARProcess:
         assert np.isfinite(ts.values).all()
 
 
+def _reference_ar_process(n, rng, coefficients, sigma=1.0, burn_in=100):
+    """The indexed numpy-scalar recursion ``ar_process`` must reproduce bit for bit."""
+    phi = np.asarray(coefficients, dtype=np.float64)
+    roots = np.roots(np.concatenate([[1.0], -phi]))
+    if np.any(np.abs(roots) >= 1.0 - 1e-9):
+        raise ValueError(f"AR coefficients {phi.tolist()} are not stationary")
+    p = phi.size
+    total = n + burn_in
+    e = rng.normal(0.0, sigma, size=total)
+    x = np.zeros(total)
+    for t in range(total):
+        acc = e[t]
+        for k in range(min(p, t)):
+            acc += phi[k] * x[t - 1 - k]
+        x[t] = acc
+    return x[burn_in:]
+
+
+class TestARProcessMatchesReference:
+    COEFFICIENTS = [
+        (0.6,),
+        (-0.95,),
+        (0.0,),
+        (0.999999,),
+        (0.5, -0.3),
+        (1.2, -0.5),
+        (0.2, 0.3, -0.1),
+        (0.9, -0.4, 0.2),
+    ]
+
+    @pytest.mark.parametrize("coefficients", COEFFICIENTS, ids=str)
+    def test_bit_identical(self, coefficients):
+        for seed in range(60):
+            got = ar_process(300, np.random.default_rng(seed), coefficients, sigma=0.7)
+            ref = _reference_ar_process(300, np.random.default_rng(seed), coefficients, sigma=0.7)
+            np.testing.assert_array_equal(got.values, ref)
+
+    @pytest.mark.parametrize("n, burn_in", [(0, 0), (1, 0), (0, 1), (5, 0)])
+    def test_tiny_lengths(self, n, burn_in):
+        for coefficients in [(0.6,), (0.5, -0.3)]:
+            got = ar_process(n, np.random.default_rng(3), coefficients, burn_in=burn_in)
+            ref = _reference_ar_process(n, np.random.default_rng(3), coefficients, burn_in=burn_in)
+            np.testing.assert_array_equal(got.values, ref)
+
+    @pytest.mark.parametrize("phi", [1 - 1e-9, -(1 - 1e-9), 1.0, -1.0, 1.5, -1.5])
+    def test_order_one_stationarity_matches_np_roots(self, phi):
+        with pytest.raises(ValueError) as ref:
+            _reference_ar_process(10, np.random.default_rng(0), (phi,))
+        with pytest.raises(ValueError) as got:
+            ar_process(10, np.random.default_rng(0), (phi,))
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("phi", [1 - 2e-9, -(1 - 2e-9), 0.5, -0.5])
+    def test_order_one_stationary_side_matches_np_roots(self, phi):
+        ref = _reference_ar_process(10, np.random.default_rng(0), (phi,))
+        got = ar_process(10, np.random.default_rng(0), (phi,))
+        np.testing.assert_array_equal(got.values, ref)
+
+
 class TestComposite:
     def test_seasonal_signal_has_period(self, rng):
         from repro.timeseries import estimate_period

@@ -12,6 +12,7 @@ from repro.timeseries import (
     sax_symbolize,
     sax_word,
 )
+from repro.timeseries.sax import SAX_ALPHABET
 
 
 class TestPAA:
@@ -56,6 +57,17 @@ class TestBreakpoints:
             gaussian_breakpoints(1)
         with pytest.raises(ValueError):
             gaussian_breakpoints(100)
+
+
+class TestBreakpointsMatchScipyStats:
+    """``gaussian_breakpoints`` calls ``scipy.special.ndtri``; ``norm.ppf`` is the reference."""
+
+    @pytest.mark.parametrize("a", range(2, len(SAX_ALPHABET) + 1))
+    def test_every_alphabet_size(self, a):
+        from scipy.stats import norm
+
+        expected = norm.ppf(np.arange(1, a) / a)
+        np.testing.assert_array_equal(gaussian_breakpoints(a), expected)
 
 
 class TestSaxWord:
